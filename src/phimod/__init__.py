@@ -82,6 +82,7 @@ from .modules import (
 from .monodromy import (
     BlockData,
     GroupType,
+    InvariantViolation,
     NoCentralPower,
     ScalarsMissing,
     UnclassifiedDimension,

@@ -21,7 +21,7 @@ from .modules import (
     module_from_record,
     validate_geometric_params,
 )
-from .monodromy import group_type, monodromy_lie
+from .monodromy import InvariantViolation, group_type, monodromy_lie
 from .scalars import NoRootError, PrecisionExhausted, PrimeContext, scalar_from_str, scalar_to_str
 from .scan import histogram, row_to_record, scan
 from .weil import PrimeTooSmall, enumerate_ss_weil_deg4
@@ -132,6 +132,8 @@ def cmd_monodromy(args):
 def cmd_scan(args):
     if args.height > 50:
         raise ValueError("height bound is 50 (desk scale)")
+    if args.height < 0:
+        raise ValueError("height must be >= 0")
     ctx = _context(args)
     rows = scan(ctx, args.epsilon, args.height, with_groups=not args.no_groups)
     records = [row_to_record(r, ctx) for r in rows]
@@ -228,6 +230,9 @@ def main(argv=None):
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (
         DegenerateDenominator,
         InadmissibleModule,

@@ -7,6 +7,7 @@ literal, there are no tolerances.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd as _gcd
 
 from . import polys
 
@@ -254,9 +255,6 @@ class SubspaceBasis:
         rows, _ = _echelon(list(self.vectors) + [vec])
         return len(rows) == self.dim
 
-    def contains_all(self, vecs):
-        return all(self.contains(v) for v in vecs)
-
     def intersection_dim(self, other):
         joined, _ = _echelon(list(self.vectors) + list(other.vectors))
         return self.dim + other.dim - len(joined)
@@ -349,20 +347,41 @@ class _Span:
 
 
 class LieAlgebraBasis:
-    """Bracket-closed matrix subspace, echelon-normalized when flattened."""
+    """Bracket-closed matrix subspace, echelon-normalized when flattened.
 
-    __slots__ = ("basis", "n")
+    A closure computed on the rational path keeps its fraction-free integer
+    span: dim, contains and is_solvable read the integer rows, and the
+    Fraction echelon basis is built only when it is first read.
+    """
+
+    __slots__ = ("_basis", "_int_span", "n")
 
     def __init__(self, basis, n):
-        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "_basis", tuple(basis))
+        object.__setattr__(self, "_int_span", None)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _from_int_span(cls, span, n):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_basis", None)
+        object.__setattr__(obj, "_int_span", span)
+        object.__setattr__(obj, "n", n)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("LieAlgebraBasis is immutable")
 
     @property
+    def basis(self):
+        if self._basis is None:
+            rows, _ = _echelon([[Fraction(a) for a in r] for r in self._int_span.rows])
+            object.__setattr__(self, "_basis", tuple(Matrix.from_flat(r, self.n) for r in rows))
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self._basis) if self._int_span is None else self._int_span.dim
 
     def span(self):
         s = _Span(self.n * self.n)
@@ -371,13 +390,29 @@ class LieAlgebraBasis:
         return s
 
     def contains(self, M):
+        if self._int_span is not None:
+            flat = _int_flat(M)
+            if flat is not None:
+                return self._int_span.contains(flat)
         return self.span().contains(M.flatten())
+
+    def _int_rows(self):
+        """Integer rows spanning the algebra, or None when an entry is not rational."""
+        if self._int_span is not None:
+            return self._int_span.rows
+        flat = [_int_flat(M) for M in self._basis]
+        return flat if all(f is not None for f in flat) else None
 
     def __repr__(self):
         return f"LieAlgebraBasis(dim={self.dim}, n={self.n})"
 
 
-from math import gcd as _gcd
+def _primitive(vec):
+    """vec divided by the gcd of its entries (the zero vector is returned as is)."""
+    g = 0
+    for a in vec:
+        g = _gcd(g, a)
+    return [a // g for a in vec] if g > 1 else vec
 
 
 class _IntSpan:
@@ -404,10 +439,7 @@ class _IntSpan:
         p = next((i for i, a in enumerate(vec) if a), None)
         if p is None:
             return False
-        g = 0
-        for a in vec:
-            g = _gcd(g, a)
-        vec = [a // g for a in vec]
+        vec = _primitive(vec)
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(idx, vec)
         self.pivots.insert(idx, p)
@@ -428,60 +460,50 @@ def _int_flat(M):
         return None
     lcm = 1
     for a in flat:
-        d = Fraction(a).denominator
+        d = a.denominator
         lcm = lcm // _gcd(lcm, d) * d
-    return [int(Fraction(a) * lcm) for a in flat]
+    return [a.numerator * (lcm // a.denominator) for a in flat]
 
 
-def _int_bracket(a, b, n):
-    """Bracket of flat integer matrices, content-reduced to limit growth."""
-    ab = [0] * (n * n)
+def _int_matmul(a, b, n):
+    """Product of flat n x n integer matrices."""
+    out = [0] * (n * n)
     for i in range(n):
         ri = i * n
         for k in range(n):
             aik = a[ri + k]
-            bki = b[ri + k]
             if aik:
                 rk = k * n
                 for j in range(n):
-                    ab[ri + j] += aik * b[rk + j]
-            if bki:
-                rk = k * n
-                for j in range(n):
-                    ab[ri + j] -= bki * a[rk + j]
-    g = 0
-    for x in ab:
-        g = _gcd(g, x)
-    if g > 1:
-        ab = [x // g for x in ab]
-    return ab
+                    out[ri + j] += aik * b[rk + j]
+    return out
+
+
+def _int_bracket(a, b, n):
+    """Bracket of flat integer matrices, content-reduced to limit growth."""
+    return _primitive([x - y for x, y in zip(_int_matmul(a, b, n), _int_matmul(b, a, n))])
 
 
 def _int_lie_closure(flat_gens, n):
     span = _IntSpan()
-    basis = []
-    for g in flat_gens:
-        if span.add(g):
-            basis.append(g)
-    while True:
-        new = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                c = _int_bracket(basis[i], basis[j], n)
-                if span.add(c):
-                    new.append(c)
-        if not new:
-            break
-        basis.extend(new)
+    basis = [g for g in flat_gens if span.add(g)]
+    # worklist: each element is bracketed once with every earlier one; the
+    # loop also visits the elements appended while it runs
+    for j, b in enumerate(basis):
+        for a in basis[:j]:
+            c = _int_bracket(a, b, n)
+            if span.add(c):
+                basis.append(c)
     return span
 
 
 def lie_closure(generators):
     """Smallest subspace containing the generators and closed under bracket.
 
-    Breadth-first rounds: bracket all current basis pairs, re-echelonize,
-    repeat until the dimension stops growing (bounded by n^2).  Rational
-    input takes a fraction-free integer path; cyclotomic input stays generic.
+    Worklist closure: every basis element is bracketed once with each earlier
+    one, and a bracket outside the span joins the basis (dimension <= n^2).
+    Rational input takes a fraction-free integer path; cyclotomic input stays
+    generic.
     """
     generators = list(generators)
     if not generators:
@@ -489,26 +511,15 @@ def lie_closure(generators):
     n = generators[0].n
     flat_gens = [_int_flat(g) for g in generators]
     if all(f is not None for f in flat_gens):
-        span = _int_lie_closure(flat_gens, n)
-        rows, _ = _echelon([[Fraction(a) for a in r] for r in span.rows])
-        return LieAlgebraBasis([Matrix.from_flat(r, n) for r in rows], n)
+        return LieAlgebraBasis._from_int_span(_int_lie_closure(flat_gens, n), n)
     span = _Span(n * n)
-    basis = []
-    for g in generators:
-        if span.add(g.flatten()):
-            basis.append(g)
-    while True:
-        new = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                c = bracket(basis[i], basis[j])
-                if span.add(c.flatten()):
-                    new.append(c)
-        if not new:
-            break
-        basis.extend(new)
-    rows = [Matrix.from_flat(r, n) for r in span.rows]
-    return LieAlgebraBasis(rows, n)
+    basis = [g for g in generators if span.add(g.flatten())]
+    for j, B in enumerate(basis):
+        for A in basis[:j]:
+            c = bracket(A, B)
+            if span.add(c.flatten()):
+                basis.append(c)
+    return LieAlgebraBasis([Matrix.from_flat(r, n) for r in span.rows], n)
 
 
 def subspace_bracket(basis_a, basis_b, n):
@@ -524,14 +535,14 @@ def subspace_bracket(basis_a, basis_b, n):
 
 
 def _int_derived(basis, n):
+    """Rows spanning [L, L] for L spanned by basis. Stops early once they span
+    as much as basis does: is_solvable then reads the series as stuck."""
     span = _IntSpan()
-    out = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = _int_bracket(basis[i], basis[j], n)
-            if span.add(c):
-                out.append(c)
-    return [span.rows[i] for i in range(span.dim)]
+    for j, b in enumerate(basis):
+        for a in basis[:j]:
+            if span.add(_int_bracket(a, b, n)) and span.dim == len(basis):
+                return span.rows
+    return span.rows
 
 
 def is_solvable(L):
@@ -539,9 +550,9 @@ def is_solvable(L):
     if L.dim == 0:
         return True, 0
     n = L.n
-    flat = [_int_flat(M) for M in L.basis]
+    flat = L._int_rows()
     length = 0
-    if all(f is not None for f in flat):
+    if flat is not None:
         current = flat
         while True:
             derived = _int_derived(current, n)

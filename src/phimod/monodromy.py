@@ -9,14 +9,18 @@ conjugates of E = diag(1,1,0,0).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, bracket, is_solvable, lie_closure
+from .linalg import Matrix, _int_flat, _int_matmul, _primitive, bracket, is_solvable, lie_closure
 from .modules import Iso, Mu, build_family, mu_c
 
 class NoCentralPower(ValueError):
     """No power of phi up to the bound is scalar: the input is not supersingular."""
 
 
-class ScalarsMissing(AssertionError):
+class InvariantViolation(RuntimeError):
+    """A computed result contradicts the paper's tables: a verification failure."""
+
+
+class ScalarsMissing(InvariantViolation):
     """The identity escaped the toric span; contradicts the worked cases."""
 
 
@@ -43,17 +47,54 @@ def phi_central_order(phi):
     raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
 
 
+def _int_central_order(Phi, n):
+    """(k, Phi^(k-1) up to a nonzero scale) for the smallest k <= the bound
+    with Phi^k scalar; Phi is a flat integer matrix."""
+    prev = _int_flat(Matrix.identity(n))
+    power = Phi
+    for k in range(1, CENTRAL_ORDER_BOUND + 1):
+        if all(a == (power[0] if i % (n + 1) == 0 else 0) for i, a in enumerate(power)):
+            return k, prev
+        prev = power
+        power = _primitive(_int_matmul(power, Phi, n))
+    raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
+
+
+def _positive_primitive(G, n):
+    """The primitive integer multiple of G with positive trace."""
+    G = _primitive(G)
+    return G if sum(G[:: n + 1]) > 0 else [-a for a in G]
+
+
 def toric_generators(D):
-    """Deduplicated conjugates phi^i E phi^(-i), 0 <= i < central order."""
-    k = phi_central_order(D.phi)
-    phi_inv = D.phi.inverse()
-    gens = []
-    g = hodge_generator()
+    """Deduplicated conjugates phi^i E phi^(-i), 0 <= i < central order.
+
+    Over Q the conjugates are carried fraction-free: with Phi = d phi integral
+    and Phi^k = lambda I, Phi G Phi^(k-1) is a nonzero rational multiple of
+    phi G phi^(-1). Each is kept as its primitive multiple with positive
+    trace, which determines the conjugate, and rescaled to trace 2 (the trace
+    of every conjugate of E) on the way out.
+    """
+    n = D.phi.n
+    Phi = _int_flat(D.phi)
+    if Phi is None:
+        k = phi_central_order(D.phi)
+        phi_inv = D.phi.inverse()
+        gens = []
+        g = hodge_generator()
+        for _ in range(k):
+            if g not in gens:
+                gens.append(g)
+            g = D.phi @ g @ phi_inv
+        return gens
+    k, tail = _int_central_order(Phi, n)
+    seen = []
+    G = _int_flat(hodge_generator())
     for _ in range(k):
-        if g not in gens:
-            gens.append(g)
-        g = D.phi @ g @ phi_inv
-    return gens
+        if G not in seen:
+            seen.append(G)
+        G = _positive_primitive(_int_matmul(_int_matmul(Phi, G, n), tail, n), n)
+    return [Matrix.from_flat([Fraction(2 * a, sum(G[:: n + 1])) for a in G], n) for G in seen]
 
 
 def monodromy_lie(D):

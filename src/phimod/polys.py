@@ -110,15 +110,6 @@ def eval_matrix(p, M):
     return acc
 
 
-def quadratic_roots(b, c, sqrt_fn):
-    """Roots of X^2 + b X + c, or None when the discriminant has no square root."""
-    disc = b * b - 4 * c
-    s = sqrt_fn(disc)
-    if s is None:
-        return None
-    return ((-b + s) / 2, (-b - s) / 2)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m):
     """The m-th cyclotomic polynomial over Q, ascending integer coefficients."""

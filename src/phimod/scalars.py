@@ -204,15 +204,6 @@ def normalize(x):
     return Cyclotomic(u, v, x.m)
 
 
-def from_zeta_powers(coeffs, m):
-    """Reduce sum(coeffs[i] * zeta^i) to canonical u + v*zeta."""
-    z = zeta(m)
-    acc = Cyclotomic(0)
-    for i, c in enumerate(coeffs):
-        acc = acc + z**i * c
-    return normalize(acc)
-
-
 def scalar_to_str(x):
     u, v = as_pair(x)
     s = f"{u.numerator}/{u.denominator}"

@@ -26,7 +26,7 @@ from .classify import (
 )
 from .modules import Iso, Mu, Nu
 from .moduli import mu_inverse
-from .monodromy import monodromy_group
+from .monodromy import InvariantViolation, monodromy_group
 from .scalars import Cyclotomic, scalar_to_str
 
 
@@ -40,7 +40,7 @@ class ScanRow:
     group: object
 
 
-class InconsistentRow(AssertionError):
+class InconsistentRow(InvariantViolation):
     """A row violates the monodromy distribution table."""
 
 

@@ -79,9 +79,9 @@ class CriterionResult:
 def _criterion(number, name, budget=None):
     def deco(fn):
         def run():
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok, detail = fn()
-            return CriterionResult(number, name, ok, detail, time.time() - t0, budget)
+            return CriterionResult(number, name, ok, detail, time.perf_counter() - t0, budget)
 
         run.number = number
         return run

@@ -145,6 +145,26 @@ def test_scan_cyclotomic_shows_branches(capsys):
 def test_scan_height_cap(capsys):
     code, _, err = run_cli(capsys, "scan", "--prime", "7", "--height", "99")
     assert code == 1 and "height" in err
+    code, out, err = run_cli(capsys, "scan", "--prime", "7", "--height", "-1")
+    assert code == 1 and "height" in err and out == ""
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    import importlib
+
+    from phimod.linalg import lie_closure
+    from phimod.monodromy import GroupType
+
+    scan_mod = importlib.import_module("phimod.scan")  # the package's `scan` is the function
+    monodromy_mod = importlib.import_module("phimod.monodromy")
+    monkeypatch.setattr(scan_mod, "monodromy_group", lambda params, ctx: GroupType("Gm3", 3, True))
+    code, _, err = run_cli(capsys, "scan", "--prime", "7", "--height", "1")
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+    # a closure without the scalars breaks the monodromy invariant
+    monkeypatch.setattr(monodromy_mod, "lie_closure", lambda gens: lie_closure(gens[:1]))
+    code, _, err = run_cli(capsys, "monodromy", "--prime", "7", "--family", "mu", "--params", "7,0")
+    assert code == 2 and "identity" in err and "Traceback" not in err
 
 
 def test_verify_suite(capsys):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from phimod.linalg import Matrix, bracket, lie_closure, row_reduce
+from phimod.linalg import Matrix, bracket, is_solvable, lie_closure, row_reduce
 from phimod.moduli import companion_phi
 from phimod.modules import Iso, Mu, Nu, Prod, build_family
 from phimod.monodromy import (
@@ -280,3 +281,47 @@ def test_mu_conjugates_match_worked_matrices():
         expected2 = block(I2 - M * k, -1 * (M @ S), S - (S @ M) * k, (M - I2 * c) * (-k))
         assert g2 == expected2
         done += 1
+
+
+def _oracle_toric_generators(D):
+    """Reference conjugation loop in Fraction arithmetic, through phi.inverse()."""
+    k = phi_central_order(D.phi)
+    phi_inv = D.phi.inverse()
+    gens = []
+    g = hodge_generator()
+    for _ in range(k):
+        if g not in gens:
+            gens.append(g)
+        g = D.phi @ g @ phi_inv
+    return gens
+
+
+def _reference_members(p, eps):
+    yield from (Prod(1), Prod(-1), Iso(eps, 1), Iso(eps, -1))
+    for a in (f(0), f(eps * p), f(p * p), f(-2, 3)):
+        yield Nu(eps, a)
+    for a, b in ((f(0), f(0)), (f(p), f(0)), (f(p), f(2)), (f(1, 2), f(3)), (f(-5), f(1, 7))):
+        yield Mu(eps, a, b)
+
+
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_integer_path_matches_fraction_oracle(p):
+    ctx = PrimeContext(p)
+    for eps in (-1, 0, 1):
+        for params in _reference_members(p, eps):
+            D = build_family(params, ctx)
+            gens = toric_generators(D)
+            assert gens == _oracle_toric_generators(D), params
+            L = lie_closure(gens)
+            # Cyclotomic entries take the generic _Span path
+            generic = lie_closure([Matrix([[Cyclotomic(a) for a in r] for r in g.rows]) for g in gens])
+            assert L.basis == generic.basis, params
+            assert is_solvable(L) == is_solvable(generic), params
+
+
+def test_integer_path_negative_central_scalar():
+    phi = companion_phi(0, 7)
+    assert phi.power(4) == Matrix.identity(4) * f(-49)  # phi^4 = -p^2: the sign flips
+    D = SimpleNamespace(phi=phi)
+    gens = toric_generators(D)
+    assert len(gens) == 4 and gens == _oracle_toric_generators(D)

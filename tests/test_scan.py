@@ -1,7 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from phimod.classify import canonical_class, wintenberger_type
+from phimod.cli import main
 from phimod.linalg import row_reduce
 from phimod.moduli import companion_phi
 from phimod.modules import FilteredPhiModule
@@ -93,3 +97,22 @@ def test_scan_split_field_line_rows():
     assert "Ga2SemidirectGm2" in kinds  # the appended line samples
     hist = histogram(rows)
     assert hist["Ga2SemidirectGm2"] == 6  # two lines, y in {0, 1, 2}
+
+
+# sha256 of the stdout of `phimod scan --prime p --cyclotomic m --epsilon eps
+# --height 5 --format json`; the rational (m = 1) and cyclotomic (m = 3, 4)
+# scans must stay byte-identical.
+GOLDEN_SCANS = {
+    (7, 3, 1): "6c5917c5f9c22cf8bddbf2bdd474dea719633c039a0aa4387b30b5f5eaff94ed",
+    (13, 4, 0): "a4e5ca28deec609909dc6878184c708fc61c1aed5d0a44e7cfbfa21a4ebb9c66",
+    (7, 1, -1): "6933c0d2370ae9e3540adf2bf9500052a3881afcb3701fbbee09d8332c225926",
+}
+
+
+@pytest.mark.parametrize("p, m, eps", sorted(GOLDEN_SCANS))
+def test_scan_stdout_golden(capsys, p, m, eps):
+    argv = ["scan", "--prime", str(p), "--cyclotomic", str(m), "--epsilon", str(eps)]
+    code = main(argv + ["--height", "5", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SCANS[(p, m, eps)]
