@@ -323,14 +323,8 @@ def cyclic_presentation(D, skip=0):
     candidates (test hook for basis independence).
     """
     b1, b2 = D.fil1.vectors
-    candidates = [b1, b2, tuple(x + y for x, y in zip(b1, b2))]
-    for i in range(-3, 4):
-        for j in range(-3, 4):
-            if (i, j) in ((1, 0), (0, 1), (1, 1)) or (i == 0 and j == 0):
-                continue
-            candidates.append(tuple(i * x + j * y for x, y in zip(b1, b2)))
     found = 0
-    for x in candidates:
+    for x in _cyclic_candidates(b1, b2):
         orbit = [x]
         for _ in range(3):
             orbit.append(D.phi.apply(orbit[-1]))
@@ -344,6 +338,19 @@ def cyclic_presentation(D, skip=0):
         assert coeffs is not None
         return x, orbit, tuple(coeffs)
     raise NoCyclicVector("no cyclic vector found in fil1")
+
+
+def _cyclic_candidates(b1, b2):
+    """Candidate cyclic vectors in search order, built lazily: the first one
+    is nearly always cyclic, so the rest are seldom needed."""
+    yield b1
+    yield b2
+    yield tuple(x + y for x, y in zip(b1, b2))
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            if (i, j) in ((1, 0), (0, 1), (1, 1)) or (i == 0 and j == 0):
+                continue
+            yield tuple(i * x + j * y for x, y in zip(b1, b2))
 
 
 class NoCyclicVector(AssertionError):

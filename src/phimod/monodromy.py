@@ -9,7 +9,7 @@ conjugates of E = diag(1,1,0,0).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _int_flat, _int_matmul, _primitive, bracket, is_solvable, lie_closure
+from .linalg import Matrix, _int_flat, _int_matmul, _primitive, is_solvable, lie_closure
 from .modules import Iso, Mu, build_family, mu_c
 
 class NoCentralPower(ValueError):
