@@ -2,7 +2,9 @@
 brackets and Lie-algebra closure.
 
 Entries are Fractions or Cyclotomic scalars; everything is exact, equality is
-literal, there are no tolerances.
+literal, there are no tolerances. Lie closure and the derived series run
+fraction-free for every field, on integer matrices over Z (for Q) or
+Z[zeta_3], Z[i] (for Q(zeta_3), Q(zeta_4)).
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from functools import lru_cache
 from math import gcd as _gcd
 
 from . import polys
+from .scalars import Cyclotomic
 
 
 class Matrix:
@@ -177,7 +180,7 @@ def char_poly(M):
     return list(_char_poly_cached(M))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)  # the reuse is within one module; a key over Q(zeta) holds ~4 KB
 def _char_poly_cached(M):
     n = M.n
     coeffs = [Fraction(1)]  # descending: X^n + c1 X^(n-1) + ...
@@ -347,27 +350,19 @@ class _Span:
 
 
 class LieAlgebraBasis:
-    """Bracket-closed matrix subspace, echelon-normalized when flattened.
-
-    A closure computed on the rational path keeps its fraction-free integer
-    span: dim, contains and is_solvable read the integer rows, and the
-    Fraction echelon basis is built only when it is first read.
+    """Bracket-closed matrix subspace over Q(zeta_m), kept as its fraction-free
+    span over Z[zeta_m] and the span of [L, L] recorded while closing. dim,
+    contains and is_solvable read those rows; the echelon basis (Fraction
+    entries over Q, Cyclotomic over Q(zeta_m)) is built when first read.
     """
 
-    __slots__ = ("_basis", "_int_span", "n")
+    __slots__ = ("_basis", "_span", "_derived", "n")
 
-    def __init__(self, basis, n):
-        object.__setattr__(self, "_basis", tuple(basis))
-        object.__setattr__(self, "_int_span", None)
+    def __init__(self, span, derived, n):
+        object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_derived", derived)
         object.__setattr__(self, "n", n)
-
-    @classmethod
-    def _from_int_span(cls, span, n):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_basis", None)
-        object.__setattr__(obj, "_int_span", span)
-        object.__setattr__(obj, "n", n)
-        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("LieAlgebraBasis is immutable")
@@ -375,36 +370,66 @@ class LieAlgebraBasis:
     @property
     def basis(self):
         if self._basis is None:
-            rows, _ = _echelon([[Fraction(a) for a in r] for r in self._int_span.rows])
+            rows, _ = _echelon([_scalars(r, self._span.m) for r in self._span.rows])
             object.__setattr__(self, "_basis", tuple(Matrix.from_flat(r, self.n) for r in rows))
         return self._basis
 
     @property
     def dim(self):
-        return len(self._basis) if self._int_span is None else self._int_span.dim
-
-    def span(self):
-        s = _Span(self.n * self.n)
-        for M in self.basis:
-            s.add(M.flatten())
-        return s
+        return self._span.dim
 
     def contains(self, M):
-        if self._int_span is not None:
-            flat = _int_flat(M)
-            if flat is not None:
-                return self._int_span.contains(flat)
-        return self.span().contains(M.flatten())
-
-    def _int_rows(self):
-        """Integer rows spanning the algebra, or None when an entry is not rational."""
-        if self._int_span is not None:
-            return self._int_span.rows
-        flat = [_int_flat(M) for M in self._basis]
-        return flat if all(f is not None for f in flat) else None
+        """Membership of M in the span over the field of M's entries."""
+        m, span = _field_order([M]), self._span
+        if m == 1 or m == span.m:
+            return span.contains(_int_flat(M, span.m))
+        if span.m != 1:
+            raise ValueError(f"mixed cyclotomic orders {m} and {span.m}")
+        flat = _int_flat(M, m)  # a rational span holds U + zeta V when it holds U and V
+        return span.contains(flat[: len(flat) // 2]) and span.contains(flat[len(flat) // 2 :])
 
     def __repr__(self):
         return f"LieAlgebraBasis(dim={self.dim}, n={self.n})"
+
+
+def _field_order(mats):
+    """The m with every entry of the matrices in Q(zeta_m); 1 when all are rational."""
+    orders = {a.m for M in mats for a in M.flatten() if isinstance(a, Cyclotomic) and a.v}
+    if len(orders) > 1:
+        raise ValueError(f"mixed cyclotomic orders {sorted(orders)}")
+    return orders.pop() if orders else 1
+
+
+def _int_flat(M, m=1):
+    """Flat integer multiple of M over Z[zeta_m], scaled by a common denominator."""
+    pairs = [(a.u, a.v) if isinstance(a, Cyclotomic) else (a, 0) for a in M.flatten()]
+    flat = [u for u, _ in pairs] + ([v for _, v in pairs] if m != 1 else [])
+    lcm = 1
+    for a in flat:
+        d = a.denominator
+        lcm = lcm // _gcd(lcm, d) * d
+    return [a.numerator * (lcm // a.denominator) for a in flat]
+
+
+def _scalars(flat, m, den=1):
+    """The entries of a flat vector over Z[zeta_m] divided by den, as scalars."""
+    if m == 1:
+        return [Fraction(a, den) for a in flat]
+    half = len(flat) // 2
+    return [Cyclotomic(Fraction(u, den), Fraction(v, den), m) for u, v in zip(flat[:half], flat[half:])]
+
+
+def _zeta_times(vec, m):
+    """zeta * vec: zeta^2 = -1 - zeta when m = 3 and -1 when m = 4."""
+    half = len(vec) // 2
+    u, v = vec[:half], vec[half:]
+    return [-b for b in v] + ([a - b for a, b in zip(u, v)] if m == 3 else u)
+
+
+def _times_conjugate(vec, a0, a1, m):
+    """vec times the complex conjugate of a0 + a1 zeta: a0 - a1 - a1 zeta (m = 3), a0 - a1 zeta (m = 4)."""
+    c0 = a0 - a1 if m == 3 else a0
+    return [c0 * x - a1 * y for x, y in zip(vec, _zeta_times(vec, m))]
 
 
 def _primitive(vec):
@@ -416,32 +441,50 @@ def _primitive(vec):
 
 
 class _IntSpan:
-    """Fraction-free row-echelon span of integer vectors (rank and membership)."""
+    """Fraction-free row-echelon span of flat vectors over Z[zeta_m] (rank and
+    membership), after Bareiss. A flat vector of length s is s integers over Z
+    (m = 1) and 2s over Z[zeta_3], Z[i]: the rational coefficients, then the
+    zeta ones. Each row is primitive with a positive rational-integer pivot k,
+    so an entry a0 + a1 zeta at the pivot is cleared from a vector as
+    (k vec - a0 row - a1 zeta row) / g with g = gcd(k, a0, a1)."""
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("m", "rows", "zeta_rows", "pivots")
 
-    def __init__(self):
+    def __init__(self, m=1):
+        self.m = m
         self.rows = []
+        self.zeta_rows = []  # zeta * row over Z[zeta_m], None over Z
         self.pivots = []
 
     def _reduced(self, vec):
-        for row, p in zip(self.rows, self.pivots):
-            a = vec[p]
-            if a:
-                b = row[p]
-                g = _gcd(a, b)
-                m1, m2 = b // g, a // g
-                vec = [m1 * x - m2 * y for x, y in zip(vec, row)]
+        half = len(vec) // 2
+        for row, zrow, p in zip(self.rows, self.zeta_rows, self.pivots):
+            a0 = vec[p]
+            a1 = vec[p + half] if zrow else 0
+            if a0 or a1:
+                g = _gcd(row[p], a0, a1)
+                k, a0, a1 = row[p] // g, a0 // g, a1 // g
+                if a1:
+                    vec = [k * x - a0 * y - a1 * z for x, y, z in zip(vec, row, zrow)]
+                else:
+                    vec = [k * x - a0 * y for x, y in zip(vec, row)]
         return vec
 
     def add(self, vec):
+        """Add vec to the span; True when the dimension grew."""
         vec = self._reduced(list(vec))
-        p = next((i for i, a in enumerate(vec) if a), None)
+        size = len(vec) if self.m == 1 else len(vec) // 2
+        p = min((i % size for i, a in enumerate(vec) if a), default=None)
         if p is None:
             return False
+        if self.m != 1:  # times the conjugate of the pivot, which becomes its norm
+            vec = _times_conjugate(vec, vec[p], vec[p + size], self.m)
         vec = _primitive(vec)
+        if vec[p] < 0:
+            vec = [-a for a in vec]
         idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(idx, vec)
+        self.zeta_rows.insert(idx, None if self.m == 1 else _zeta_times(vec, self.m))
         self.pivots.insert(idx, p)
         return True
 
@@ -451,18 +494,6 @@ class _IntSpan:
     @property
     def dim(self):
         return len(self.rows)
-
-
-def _int_flat(M):
-    """Flat integer-scaled copy of a Fraction matrix, or None for other entries."""
-    flat = M.flatten()
-    if not all(isinstance(a, (int, Fraction)) for a in flat):
-        return None
-    lcm = 1
-    for a in flat:
-        d = a.denominator
-        lcm = lcm // _gcd(lcm, d) * d
-    return [a.numerator * (lcm // a.denominator) for a in flat]
 
 
 def _int_matmul(a, b, n):
@@ -479,68 +510,53 @@ def _int_matmul(a, b, n):
     return out
 
 
-def _int_bracket(a, b, n):
-    """Bracket of flat integer matrices, content-reduced to limit growth."""
-    return _primitive([x - y for x, y in zip(_int_matmul(a, b, n), _int_matmul(b, a, n))])
+def _zmatmul(a, b, n, m):
+    """Product of flat n x n matrices over Z[zeta_m]: four integer products."""
+    if m == 1:
+        return _int_matmul(a, b, n)
+    s = n * n
+    a0, a1, b0, b1 = a[:s], a[s:], b[:s], b[s:]
+    p11 = _int_matmul(a1, b1, n)
+    cross = [x + y for x, y in zip(_int_matmul(a0, b1, n), _int_matmul(a1, b0, n))]
+    head = [x - y for x, y in zip(_int_matmul(a0, b0, n), p11)]
+    return head + ([x - y for x, y in zip(cross, p11)] if m == 3 else cross)
 
 
-def _int_lie_closure(flat_gens, n):
-    span = _IntSpan()
-    basis = [g for g in flat_gens if span.add(g)]
-    # worklist: each element is bracketed once with every earlier one; the
-    # loop also visits the elements appended while it runs
-    for j, b in enumerate(basis):
-        for a in basis[:j]:
-            c = _int_bracket(a, b, n)
-            if span.add(c):
-                basis.append(c)
-    return span
+def _int_bracket(a, b, n, m):
+    """Bracket of flat matrices over Z[zeta_m], content-reduced to limit growth."""
+    return _primitive([x - y for x, y in zip(_zmatmul(a, b, n, m), _zmatmul(b, a, n, m))])
 
 
 def lie_closure(generators):
     """Smallest subspace containing the generators and closed under bracket.
 
-    Worklist closure: every basis element is bracketed once with each earlier
-    one, and a bracket outside the span joins the basis (dimension <= n^2).
-    Rational input takes a fraction-free integer path; cyclotomic input stays
-    generic.
+    Worklist closure over Z[zeta_m] (Z for rational input): every basis
+    element is bracketed once with each earlier one, and a bracket outside the
+    span joins the basis (dimension <= n^2). Those brackets span [L, L], which
+    is kept for is_solvable.
     """
     generators = list(generators)
-    if not generators:
-        return LieAlgebraBasis([], 0)
-    n = generators[0].n
-    flat_gens = [_int_flat(g) for g in generators]
-    if all(f is not None for f in flat_gens):
-        return LieAlgebraBasis._from_int_span(_int_lie_closure(flat_gens, n), n)
-    span = _Span(n * n)
-    basis = [g for g in generators if span.add(g.flatten())]
-    for j, B in enumerate(basis):
-        for A in basis[:j]:
-            c = bracket(A, B)
-            if span.add(c.flatten()):
-                basis.append(c)
-    return LieAlgebraBasis([Matrix.from_flat(r, n) for r in span.rows], n)
-
-
-def subspace_bracket(basis_a, basis_b, n):
-    """Span of all brackets [a, b], as a list of matrices."""
-    span = _Span(n * n)
-    same = basis_a is basis_b
-    for i, A in enumerate(basis_a):
-        for j, B in enumerate(basis_b):
-            if same and j <= i:
-                continue
-            span.add(bracket(A, B).flatten())
-    return [Matrix.from_flat(r, n) for r in span.rows]
-
-
-def _int_derived(basis, n):
-    """Rows spanning [L, L] for L spanned by basis. Stops early once they span
-    as much as basis does: is_solvable then reads the series as stuck."""
-    span = _IntSpan()
+    n = generators[0].n if generators else 0
+    m = _field_order(generators)
+    span, derived = _IntSpan(m), _IntSpan(m)
+    basis = [g for g in (_int_flat(G, m) for G in generators) if span.add(g)]
+    # the loop also visits the elements appended while it runs
     for j, b in enumerate(basis):
         for a in basis[:j]:
-            if span.add(_int_bracket(a, b, n)) and span.dim == len(basis):
+            c = _int_bracket(a, b, n, m)
+            # derived lies inside span, so a bracket it holds adds nothing
+            if derived.add(c) and span.add(c):
+                basis.append(c)
+    return LieAlgebraBasis(span, derived, n)
+
+
+def _int_derived(basis, n, m):
+    """Rows spanning [L, L] for L spanned by basis. Stops early once they span
+    as much as basis does: is_solvable then reads the series as stuck."""
+    span = _IntSpan(m)
+    for j, b in enumerate(basis):
+        for a in basis[:j]:
+            if span.add(_int_bracket(a, b, n, m)) and span.dim == len(basis):
                 return span.rows
     return span.rows
 
@@ -549,30 +565,14 @@ def is_solvable(L):
     """Derived-series test; returns (solvable, series length to reach 0)."""
     if L.dim == 0:
         return True, 0
-    n = L.n
-    flat = L._int_rows()
-    length = 0
-    if flat is not None:
-        current = flat
-        while True:
-            derived = _int_derived(current, n)
-            length += 1
-            if not derived:
-                return True, length
-            if len(derived) >= len(current):
-                return False, length
-            current = derived
-    current = list(L.basis)
-    prev_dim = len(current)
-    while True:
-        derived = subspace_bracket(current, current, L.n)
-        length += 1
-        if not derived:
-            return True, length
-        if len(derived) >= prev_dim:
+    current, derived, length = L._span.rows, L._derived.rows, 1
+    while derived:
+        if len(derived) >= len(current):
             return False, length
         current = derived
-        prev_dim = len(derived)
+        derived = _int_derived(current, L.n, L._span.m)
+        length += 1
+    return True, length
 
 
 def minimal_polynomial(M):

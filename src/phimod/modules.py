@@ -467,15 +467,28 @@ def module_to_record(D):
     }
 
 
+def _check_record(rec):
+    """ValueError naming the first field of a module record with the wrong shape."""
+    if not isinstance(rec, dict):
+        raise ValueError("module record must be a JSON object")
+    for key in ("p", "phi", "fil1"):
+        if key not in rec:
+            raise ValueError(f"module record has no {key!r} field")
+    for key in ("p", "m", "precision"):
+        if key in rec and type(rec[key]) is not int:
+            raise ValueError(f"{key} must be an integer")
+    for key, size in (("phi", 16), ("fil1", 8)):
+        if not isinstance(rec[key], list) or not all(isinstance(s, str) for s in rec[key]):
+            raise ValueError(f"{key} must be a list of scalar strings such as \"1/2\"")
+        if len(rec[key]) != size:
+            raise ValueError(f"{key} must have {size} entries")
+
+
 def module_from_record(rec):
+    _check_record(rec)
     ctx = PrimeContext(rec["p"], rec.get("m", 1), rec.get("precision", 32))
-    entries = [scalar_from_str(s, ctx.m) for s in rec["phi"]]
-    if len(entries) != 16:
-        raise ValueError("phi must have 16 entries")
-    phi = Matrix.from_flat(tuple(entries), 4)
+    phi = Matrix.from_flat(tuple(scalar_from_str(s, ctx.m) for s in rec["phi"]), 4)
     fil = [scalar_from_str(s, ctx.m) for s in rec["fil1"]]
-    if len(fil) != 8:
-        raise ValueError("fil1 must have 8 entries")
     fil1 = row_reduce([tuple(fil[:4]), tuple(fil[4:])])
     if fil1.dim != 2:
         raise ValueError("fil1 rows are dependent")

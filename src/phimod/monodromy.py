@@ -9,7 +9,8 @@ conjugates of E = diag(1,1,0,0).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _int_flat, _int_matmul, _primitive, is_solvable, lie_closure
+from .linalg import Matrix, _field_order, _int_flat, _primitive, _scalars, _times_conjugate, _zmatmul
+from .linalg import is_solvable, lie_closure
 from .modules import Iso, Mu, build_family, mu_c
 
 class NoCentralPower(ValueError):
@@ -47,54 +48,52 @@ def phi_central_order(phi):
     raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
 
 
-def _int_central_order(Phi, n):
+def _int_central_order(Phi, n, m):
     """(k, Phi^(k-1) up to a nonzero scale) for the smallest k <= the bound
-    with Phi^k scalar; Phi is a flat integer matrix."""
-    prev = _int_flat(Matrix.identity(n))
+    with Phi^k scalar; Phi is a flat matrix over Z[zeta_m]."""
+    s = n * n
+    prev = _int_flat(Matrix.identity(n), m)
     power = Phi
     for k in range(1, CENTRAL_ORDER_BOUND + 1):
-        if all(a == (power[0] if i % (n + 1) == 0 else 0) for i, a in enumerate(power)):
+        # every coefficient block (rational, zeta) is a multiple of the identity
+        if all(a == (power[i - i % s] if i % s % (n + 1) == 0 else 0) for i, a in enumerate(power)):
             return k, prev
         prev = power
-        power = _primitive(_int_matmul(power, Phi, n))
+        power = _primitive(_zmatmul(power, Phi, n, m))
     raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
 
 
-def _positive_primitive(G, n):
-    """The primitive integer multiple of G with positive trace."""
+def _normal_form(G, n, m):
+    """The primitive multiple of G with positive rational-integer trace. Over
+    Z[zeta_m] G is first multiplied by the conjugate of its trace, so every
+    Q(zeta_m)-multiple of G has the same normal form."""
+    s = n * n
+    if m != 1:
+        G = _times_conjugate(G, sum(G[: s : n + 1]), sum(G[s :: n + 1]), m)
     G = _primitive(G)
-    return G if sum(G[:: n + 1]) > 0 else [-a for a in G]
+    return G if sum(G[: s : n + 1]) > 0 else [-a for a in G]
 
 
 def toric_generators(D):
     """Deduplicated conjugates phi^i E phi^(-i), 0 <= i < central order.
 
-    Over Q the conjugates are carried fraction-free: with Phi = d phi integral
-    and Phi^k = lambda I, Phi G Phi^(k-1) is a nonzero rational multiple of
-    phi G phi^(-1). Each is kept as its primitive multiple with positive
-    trace, which determines the conjugate, and rescaled to trace 2 (the trace
-    of every conjugate of E) on the way out.
+    The conjugates are carried fraction-free over Z[zeta_m] (Z over Q): with
+    Phi = d phi integral and Phi^k = lambda I, Phi G Phi^(k-1) is a nonzero
+    Q(zeta_m)-multiple of phi G phi^(-1). Each is kept in its normal form,
+    which determines the conjugate, and rescaled to trace 2 (the trace of
+    every conjugate of E) on the way out.
     """
     n = D.phi.n
-    Phi = _int_flat(D.phi)
-    if Phi is None:
-        k = phi_central_order(D.phi)
-        phi_inv = D.phi.inverse()
-        gens = []
-        g = hodge_generator()
-        for _ in range(k):
-            if g not in gens:
-                gens.append(g)
-            g = D.phi @ g @ phi_inv
-        return gens
-    k, tail = _int_central_order(Phi, n)
+    m = _field_order([D.phi])
+    Phi = _int_flat(D.phi, m)
+    k, tail = _int_central_order(Phi, n, m)
     seen = []
-    G = _int_flat(hodge_generator())
+    G = _int_flat(hodge_generator(), m)
     for _ in range(k):
         if G not in seen:
             seen.append(G)
-        G = _positive_primitive(_int_matmul(_int_matmul(Phi, G, n), tail, n), n)
-    return [Matrix.from_flat([Fraction(2 * a, sum(G[:: n + 1])) for a in G], n) for G in seen]
+        G = _normal_form(_zmatmul(_zmatmul(Phi, G, n, m), tail, n, m), n, m)
+    return [Matrix.from_flat(_scalars([2 * a for a in G], m, sum(G[: n * n : n + 1])), n) for G in seen]
 
 
 def monodromy_lie(D):

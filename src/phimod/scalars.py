@@ -214,14 +214,17 @@ def scalar_to_str(x):
 
 def scalar_from_str(s, m=1):
     """Parse 'n/d', 'n', 'n/d+ζ·n/d' or the ASCII aliases with 'zeta*' / 'z*'."""
-    s = s.strip().replace(" ", "")
-    for alias in ("+ζ·", "+zeta*", "+z*"):
-        if alias in s:
-            left, right = s.split(alias, 1)
-            u = Fraction(left) if left else Fraction(0)
-            v = Fraction(right)
-            return Cyclotomic(u, v, m)
-    return Fraction(s)
+    text = s.strip().replace(" ", "")
+    try:
+        for alias in ("+ζ·", "+zeta*", "+z*"):
+            if alias in text:
+                left, right = text.split(alias, 1)
+                u = Fraction(left) if left else Fraction(0)
+                v = Fraction(right)
+                return Cyclotomic(u, v, m)
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
 
 
 def _is_prime(n):

@@ -84,6 +84,35 @@ def test_classify_inadmissible_module_file(tmp_path, capsys):
     assert code == 1 and "phi-stable" in err and "witness" in err
 
 
+@pytest.mark.parametrize("command", ("classify", "monodromy"))
+@pytest.mark.parametrize("m,scalar", (("1", "1/0"), ("3", "0+zeta*1/0")))
+def test_zero_denominator_params(capsys, command, m, scalar):
+    code, out, err = run_cli(
+        capsys, command, "--prime", "7", "--cyclotomic", m, "--family", "mu", f"--params={scalar},1"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: zero denominator in scalar '{scalar}'\n"
+
+
+PROD_PHI = [0, 0, 7, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0, 1, 0, 0]
+FIL1 = ["1/1", "0/1", "0/1", "0/1", "0/1", "1/1", "0/1", "0/1"]
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    (
+        ([7, PROD_PHI, FIL1], "module record must be a JSON object"),
+        ({"p": 7, "fil1": FIL1}, "module record has no 'phi' field"),
+        ({"p": 7, "phi": PROD_PHI, "fil1": FIL1}, 'phi must be a list of scalar strings such as "1/2"'),
+    ),
+)
+def test_malformed_module_file(tmp_path, capsys, record, message):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli(capsys, "classify", "--prime", "7", "--module-file", str(path))
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_monodromy_commands(capsys):
     code, out, _ = run_cli(
         capsys, "monodromy", "--prime", "7", "--family", "prod", "--params", "1", "--format", "json"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phimod import polys
 from phimod.linalg import (
@@ -16,7 +18,9 @@ from phimod.linalg import (
     row_reduce,
     solve,
 )
-from phimod.scalars import Cyclotomic
+from phimod.scalars import Cyclotomic, zeta
+
+from oracles import _oracle_is_solvable, _oracle_lie_closure
 
 f = Fraction
 
@@ -198,10 +202,26 @@ def test_int_and_generic_closure_paths_agree():
     for _ in range(10):
         gens = [Matrix([[f(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]) for _ in range(2)]
         wrapped = [Matrix([[Cyclotomic(a) for a in row] for row in g.rows]) for g in gens]
-        fast = lie_closure(gens)
-        generic = lie_closure(wrapped)
-        assert fast.dim == generic.dim
-        assert is_solvable(fast)[0] == is_solvable(generic)[0]
+        generic = _oracle_lie_closure(wrapped)
+        for fast in (lie_closure(gens), lie_closure(wrapped)):
+            assert fast.dim == len(generic)
+            assert is_solvable(fast)[0] == _oracle_is_solvable(generic)[0]
+
+
+_zeta_matrix = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=9, max_size=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 4)), st.lists(_zeta_matrix, min_size=1, max_size=3))
+def test_zeta_closure_matches_generic_oracle(m, matrices):
+    z = zeta(m)
+    gens = [Matrix.from_flat([u + v * z for u, v in entries], 3) for entries in matrices]
+    L = lie_closure(gens)
+    generic = _oracle_lie_closure(gens)
+    assert L.basis == generic
+    assert is_solvable(L) == _oracle_is_solvable(generic)
+    for g in gens:
+        assert L.contains(g)
 
 
 def test_is_solvable_examples():

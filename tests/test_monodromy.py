@@ -23,6 +23,8 @@ from phimod.monodromy import (
 )
 from phimod.scalars import Cyclotomic, PrimeContext, zeta
 
+from oracles import _oracle_is_solvable, _oracle_lie_closure, _oracle_toric_generators
+
 f = Fraction
 CTX7 = PrimeContext(7)
 CTX73 = PrimeContext(7, 3)
@@ -283,19 +285,6 @@ def test_mu_conjugates_match_worked_matrices():
         done += 1
 
 
-def _oracle_toric_generators(D):
-    """Reference conjugation loop in Fraction arithmetic, through phi.inverse()."""
-    k = phi_central_order(D.phi)
-    phi_inv = D.phi.inverse()
-    gens = []
-    g = hodge_generator()
-    for _ in range(k):
-        if g not in gens:
-            gens.append(g)
-        g = D.phi @ g @ phi_inv
-    return gens
-
-
 def _reference_members(p, eps):
     yield from (Prod(1), Prod(-1), Iso(eps, 1), Iso(eps, -1))
     for a in (f(0), f(eps * p), f(p * p), f(-2, 3)):
@@ -313,10 +302,10 @@ def test_integer_path_matches_fraction_oracle(p):
             gens = toric_generators(D)
             assert gens == _oracle_toric_generators(D), params
             L = lie_closure(gens)
-            # Cyclotomic entries take the generic _Span path
-            generic = lie_closure([Matrix([[Cyclotomic(a) for a in r] for r in g.rows]) for g in gens])
-            assert L.basis == generic.basis, params
-            assert is_solvable(L) == is_solvable(generic), params
+            # the generic _Span closure of the Cyclotomic-wrapped generators
+            generic = _oracle_lie_closure([Matrix([[Cyclotomic(a) for a in r] for r in g.rows]) for g in gens])
+            assert L.basis == generic, params
+            assert is_solvable(L) == _oracle_is_solvable(generic), params
 
 
 def test_integer_path_negative_central_scalar():
@@ -325,3 +314,50 @@ def test_integer_path_negative_central_scalar():
     D = SimpleNamespace(phi=phi)
     gens = toric_generators(D)
     assert len(gens) == 4 and gens == _oracle_toric_generators(D)
+
+
+# A prime element above p and sqrt(eps^2 - 4) for the split eps, in Z[zeta_m]
+PRIME_ELEMENT = {(3, 7): (2, -1), (3, 13): (3, -1), (4, 13): (3, 2), (4, 17): (4, -1)}
+SPLIT_ROOTS = {3: {1: (1, 2), -1: (1, 2)}, 4: {0: (0, 2)}}
+
+
+def _cyclotomic_members(m, p):
+    z = zeta(m)
+    for eps in (-1, 0, 1):
+        yield Mu(eps, p * (2 - 3 * z), 1 + z)  # generic
+        yield Mu(eps, f(0), f(0))
+        yield Nu(eps, p * p * (1 - 2 * z))
+        yield Iso(eps, 1)
+    for eps, (u, v) in SPLIT_ROOTS[m].items():
+        for sign in (1, -1):  # on the lines a = -mu b, mu a root of X^2 + eps p X + p^2
+            mu = (-eps * p + sign * p * (u + v * z)) / 2
+            yield Mu(eps, -mu * (2 - z), 2 - z)
+    u, v = PRIME_ELEMENT[(m, p)]
+    yield Mu(0, (1 + z) * (u + v * z) ** 5, f(0))  # prime power: v(c) = 10
+    yield Prod(1)
+    yield Prod(-1)
+
+
+def _has_zeta(M):
+    return any(isinstance(a, Cyclotomic) and a.v for a in M.flatten())
+
+
+@pytest.mark.parametrize("m,p", sorted(PRIME_ELEMENT))
+def test_cyclotomic_path_matches_generic_oracle(m, p):
+    ctx = PrimeContext(p, m)
+    kinds, zeta_bases = set(), 0
+    for params in _cyclotomic_members(m, p):
+        D = build_family(params, ctx)
+        gens = toric_generators(D)
+        assert gens == _oracle_toric_generators(D), params
+        L = lie_closure(gens)
+        generic = _oracle_lie_closure(gens)
+        assert L.basis == generic, params
+        assert is_solvable(L) == _oracle_is_solvable(generic), params
+        assert L.contains(Matrix.identity(4)), params
+        zeta_basis = [B for B in L.basis if _has_zeta(B)]
+        zeta_bases += bool(zeta_basis)
+        assert L.contains((zeta_basis or list(L.basis))[-1]), params
+        kinds.add(group_type(L).kind)
+    assert zeta_bases >= 6  # the Z[zeta_m] rows, not only the rational ones, are exercised
+    assert {"Ga2SemidirectGm2", "GL2FiberDet", "Gm2", "GL2"} <= kinds
