@@ -496,6 +496,25 @@ class _IntSpan:
         return len(self.rows)
 
 
+def _is_scalar_flat(G, n):
+    """True when the flat n x n matrix over Z[zeta_m] is a multiple of the identity."""
+    s = n * n
+    return all(a == (G[i - i % s] if i % s % (n + 1) == 0 else 0) for i, a in enumerate(G))
+
+
+def _normal_form(G, n, m):
+    """(N, t): N the primitive multiple of the flat matrix G (of nonzero trace)
+    with positive rational-integer trace t. Over Z[zeta_m] G is first
+    multiplied by the conjugate of its trace, so every Q(zeta_m)-multiple of G
+    has the same N."""
+    s = n * n
+    if m != 1:
+        G = _times_conjugate(G, sum(G[: s : n + 1]), sum(G[s :: n + 1]), m)
+    G = _primitive(G)
+    t = sum(G[: s : n + 1])
+    return (G, t) if t > 0 else ([-a for a in G], -t)
+
+
 def _int_matmul(a, b, n):
     """Product of flat n x n integer matrices."""
     out = [0] * (n * n)

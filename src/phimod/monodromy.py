@@ -9,8 +9,8 @@ conjugates of E = diag(1,1,0,0).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _field_order, _int_flat, _primitive, _scalars, _times_conjugate, _zmatmul
-from .linalg import is_solvable, lie_closure
+from .linalg import Matrix, _field_order, _int_flat, _is_scalar_flat, _normal_form, _primitive, _scalars
+from .linalg import _zmatmul, is_solvable, lie_closure
 from .modules import Iso, Mu, build_family, mu_c
 
 class NoCentralPower(ValueError):
@@ -48,32 +48,6 @@ def phi_central_order(phi):
     raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
 
 
-def _int_central_order(Phi, n, m):
-    """(k, Phi^(k-1) up to a nonzero scale) for the smallest k <= the bound
-    with Phi^k scalar; Phi is a flat matrix over Z[zeta_m]."""
-    s = n * n
-    prev = _int_flat(Matrix.identity(n), m)
-    power = Phi
-    for k in range(1, CENTRAL_ORDER_BOUND + 1):
-        # every coefficient block (rational, zeta) is a multiple of the identity
-        if all(a == (power[i - i % s] if i % s % (n + 1) == 0 else 0) for i, a in enumerate(power)):
-            return k, prev
-        prev = power
-        power = _primitive(_zmatmul(power, Phi, n, m))
-    raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
-
-
-def _normal_form(G, n, m):
-    """The primitive multiple of G with positive rational-integer trace. Over
-    Z[zeta_m] G is first multiplied by the conjugate of its trace, so every
-    Q(zeta_m)-multiple of G has the same normal form."""
-    s = n * n
-    if m != 1:
-        G = _times_conjugate(G, sum(G[: s : n + 1]), sum(G[s :: n + 1]), m)
-    G = _primitive(G)
-    return G if sum(G[: s : n + 1]) > 0 else [-a for a in G]
-
-
 def toric_generators(D):
     """Deduplicated conjugates phi^i E phi^(-i), 0 <= i < central order.
 
@@ -86,14 +60,19 @@ def toric_generators(D):
     n = D.phi.n
     m = _field_order([D.phi])
     Phi = _int_flat(D.phi, m)
-    k, tail = _int_central_order(Phi, n, m)
+    # k is the central order, and tail is Phi^(k-1) up to a nonzero scale
+    k, tail, power = 1, _int_flat(Matrix.identity(n), m), Phi
+    while not _is_scalar_flat(power, n):
+        if k == CENTRAL_ORDER_BOUND:
+            raise NoCentralPower(f"phi^k is not scalar for k <= {CENTRAL_ORDER_BOUND}")
+        k, tail, power = k + 1, power, _primitive(_zmatmul(power, Phi, n, m))
     seen = []
-    G = _int_flat(hodge_generator(), m)
+    G = _normal_form(_int_flat(hodge_generator(), m), n, m)
     for _ in range(k):
         if G not in seen:
             seen.append(G)
-        G = _normal_form(_zmatmul(_zmatmul(Phi, G, n, m), tail, n, m), n, m)
-    return [Matrix.from_flat(_scalars([2 * a for a in G], m, sum(G[: n * n : n + 1])), n) for G in seen]
+        G = _normal_form(_zmatmul(_zmatmul(Phi, G[0], n, m), tail, n, m), n, m)
+    return [Matrix.from_flat(_scalars([2 * a for a in G], m, t), n) for G, t in seen]
 
 
 def monodromy_lie(D):

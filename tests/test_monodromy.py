@@ -338,6 +338,11 @@ def _cyclotomic_members(m, p):
     yield Prod(-1)
 
 
+def _elementary(n):
+    for i in range(n * n):
+        yield Matrix.from_flat([f(int(j == i)) for j in range(n * n)], n)
+
+
 def _has_zeta(M):
     return any(isinstance(a, Cyclotomic) and a.v for a in M.flatten())
 
@@ -357,7 +362,11 @@ def test_cyclotomic_path_matches_generic_oracle(m, p):
         assert L.contains(Matrix.identity(4)), params
         zeta_basis = [B for B in L.basis if _has_zeta(B)]
         zeta_bases += bool(zeta_basis)
-        assert L.contains((zeta_basis or list(L.basis))[-1]), params
+        B = (zeta_basis or list(L.basis))[-1]
+        assert L.contains(B), params
+        # membership is over Q(zeta_m), also when phi and so L are rational
+        outside = next(E for E in _elementary(4) if not L.contains(E))
+        assert L.contains(B * zeta(m)) and not L.contains(B + outside * zeta(m)), params
         kinds.add(group_type(L).kind)
     assert zeta_bases >= 6  # the Z[zeta_m] rows, not only the rational ones, are exercised
     assert {"Ga2SemidirectGm2", "GL2FiberDet", "Gm2", "GL2"} <= kinds
