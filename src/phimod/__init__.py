@@ -64,6 +64,7 @@ from .modules import (
     DegenerateDenominator,
     FilteredPhiModule,
     InadmissibleModule,
+    InvariantViolation,
     Iso,
     Mu,
     Nu,
@@ -82,7 +83,6 @@ from .modules import (
 from .monodromy import (
     BlockData,
     GroupType,
-    InvariantViolation,
     NoCentralPower,
     ScalarsMissing,
     UnclassifiedDimension,

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .modules import (
     InadmissibleModule,
+    InvariantViolation,
     _chi_shape,
     cyclic_presentation,
     is_admissible,
@@ -189,6 +190,28 @@ def mu_roots(eps, ctx):
     return (r1, r2) if unit_residue(r1) <= unit_residue(r2) else (r2, r1)
 
 
+def class_of_point(P, eps, ctx):
+    """(class, c) of an admissible eps-type module whose cyclic presentation
+    gives the point P: the branch ladder of the canonical classes."""
+    p = ctx.p
+    c = c_of_point(P, eps, p)
+    if c.is_infinity:
+        return NuInfinityClass(eps), c
+    if c.value == 2 * p:
+        return IsoClass(eps, 1), c
+    if c.value == -2 * p:
+        return IsoClass(eps, -1), c
+    if c.value == -eps * p and (roots := mu_roots(eps, ctx)) is not None:
+        x, _, z = P.coords
+        if not x and not z:
+            return MuDegenerateClass(eps, Branch.ORIGIN), c
+        for mu, branch in zip(roots, (Branch.LINE1, Branch.LINE2)):
+            if z and x / z == -mu:
+                return MuDegenerateClass(eps, branch), c
+        raise InvariantViolation(f"{P} has c = -eps p but lies off both lines")
+    return MuGenericClass(eps, c.value), c
+
+
 def canonical_class(D):
     """The isomorphism class of an admissible module with supersingular chi."""
     rep = is_admissible(D)
@@ -197,30 +220,7 @@ def canonical_class(D):
     kind, e = _chi_shape(D)
     if kind == "prod":
         return ProdClass(e)
-    p = D.ctx.p
-    P = point_from_module(D)
-    c = c_of_point(P, e, p)
-    if c.is_infinity:
-        return NuInfinityClass(e)
-    if c.value == 2 * p:
-        return IsoClass(e, 1)
-    if c.value == -2 * p:
-        return IsoClass(e, -1)
-    if c.value == -e * p:
-        roots = mu_roots(e, D.ctx)
-        if roots is None:
-            return MuGenericClass(e, c.value)
-        mu1, mu2 = roots
-        x, y, z = P.coords
-        if not x and not z:
-            return MuDegenerateClass(e, Branch.ORIGIN)
-        assert z, "c = -eps p with z = 0 forces the origin"
-        ratio = x / z
-        if ratio == -mu1:
-            return MuDegenerateClass(e, Branch.LINE1)
-        assert ratio == -mu2, "point off the two lines cannot have c = -eps p"
-        return MuDegenerateClass(e, Branch.LINE2)
-    return MuGenericClass(e, c.value)
+    return class_of_point(point_from_module(D), e, D.ctx)[0]
 
 
 def _stable_witness(D):
@@ -241,11 +241,10 @@ def c_of_module(D):
 def wintenberger_type(D):
     """Prod: type B.  eps-type: A when v_p(c) <= 0 (including c = infinity), B
     when v_p(c) >= 1."""
-    kind, e = _chi_shape(D)
+    kind, _ = _chi_shape(D)
     if kind == "prod":
         return WintenbergerType.B
-    v = c_of_module(D).vp(D.ctx)
-    return WintenbergerType.A if v <= 0 else WintenbergerType.B
+    return wintenberger_of_c(c_of_module(D), D.ctx)
 
 
 def wintenberger_of_c(c, ctx):

@@ -13,6 +13,7 @@ from .classify import canonical_class, class_to_record, c_of_module, wintenberge
 from .modules import (
     DegenerateDenominator,
     InadmissibleModule,
+    InvariantViolation,
     Iso,
     Mu,
     Nu,
@@ -21,7 +22,7 @@ from .modules import (
     module_from_record,
     validate_geometric_params,
 )
-from .monodromy import InvariantViolation, group_type, monodromy_lie
+from .monodromy import group_type, monodromy_lie
 from .scalars import NoRootError, PrecisionExhausted, PrimeContext, scalar_from_str, scalar_to_str
 from .scan import histogram, row_to_record, scan
 from .weil import PrimeTooSmall, enumerate_ss_weil_deg4
@@ -86,7 +87,12 @@ def _load_module(args):
     ctx = _context(args)
     if args.module_file:
         with open(args.module_file) as fh:
-            return module_from_record(json.load(fh)), None
+            D = module_from_record(json.load(fh))
+        for flag, key in (("--prime", "p"), ("--cyclotomic", "m")):
+            given, recorded = getattr(ctx, key), getattr(D.ctx, key)
+            if given != recorded:
+                raise ValueError(f"{flag} {given} does not match {key} = {recorded} in the module record")
+        return D, None
     if not args.family:
         raise ValueError("either --family/--params or --module-file is required")
     params = _family_params(args, ctx)

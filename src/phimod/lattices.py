@@ -11,7 +11,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .linalg import Matrix
-from .modules import mu_c
+from .modules import InvariantViolation, mu_c
 from .scalars import valuation
 
 
@@ -39,17 +39,19 @@ def valuation_region(a, b, ctx):
         return Region.D1
     if x == y + 1 and x <= 0:
         return Region.L
-    assert x >= y + 2 and y <= -1
-    return Region.D2
+    if x >= y + 2 and y <= -1:
+        return Region.D2
+    raise InvariantViolation(f"valuations ({x}, {y}) lie in no region")
 
 
 def c_in_pZp(a, b, eps, ctx):
-    """v_p(c) >= 1; asserted to agree with region membership in {D3, L}."""
+    """v_p(c) >= 1; checked to agree with region membership in {D3, L}."""
     c = mu_c(a, b, eps, ctx.p)
     verdict = valuation(c, ctx) >= 1
     region = valuation_region(a, b, ctx)
     expected = region in (Region.D3, Region.L)
-    assert verdict == expected, (a, b, eps, region, verdict)
+    if verdict != expected:
+        raise InvariantViolation(f"v_p(c) >= 1 is {verdict} for (a, b) = ({a}, {b}) in region {region.value}")
     return verdict
 
 

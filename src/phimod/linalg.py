@@ -2,9 +2,11 @@
 brackets and Lie-algebra closure.
 
 Entries are Fractions or Cyclotomic scalars; everything is exact, equality is
-literal, there are no tolerances. Lie closure and the derived series run
-fraction-free for every field, on integer matrices over Z (for Q) or
-Z[zeta_3], Z[i] (for Q(zeta_3), Q(zeta_4)).
+literal, there are no tolerances. Field arithmetic eliminates in one place,
+the reduced echelon `_echelon` behind row_reduce, solve, kernel and
+Matrix.inverse. Lie closure and the derived series run fraction-free for
+every field, in the integer span `_IntSpan` over Z (for Q) or Z[zeta_3], Z[i]
+(for Q(zeta_3), Q(zeta_4)).
 """
 
 from fractions import Fraction
@@ -128,19 +130,10 @@ class Matrix:
 
     def inverse(self):
         n = self.n
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [a * inv for a in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        return Matrix([row[n:] for row in aug])
+        rows, pivots = _echelon([r + e for r, e in zip(self.rows, Matrix.identity(n).rows)])
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix([row[n:] for row in rows])
 
     def power(self, k):
         out = Matrix.identity(self.n)
@@ -305,48 +298,6 @@ def solve(columns, target):
         if sum(coeffs[j] * columns[j][i] for j in range(ncols)) != target[i]:
             return None
     return coeffs
-
-
-class _Span:
-    """Incremental echelonized span of flat vectors."""
-
-    def __init__(self, length):
-        self.length = length
-        self.rows = []  # kept in echelon form, leading 1s
-        self.pivots = []
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vec):
-        """Add vec to the span; True when the dimension grew."""
-        vec = self.reduce(vec)
-        p = next((i for i, a in enumerate(vec) if a), None)
-        if p is None:
-            return False
-        inv = 1 / vec[p]
-        vec = [a * inv for a in vec]
-        # keep rows sorted by pivot and fully reduced
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [a - f * b for a, b in zip(row, vec)]
-        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(idx, vec)
-        self.pivots.insert(idx, p)
-        return True
-
-    def contains(self, vec):
-        return all(not a for a in self.reduce(vec))
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
 
 class LieAlgebraBasis:
@@ -601,15 +552,12 @@ def minimal_polynomial(M):
 
 @lru_cache(maxsize=4096)
 def _minimal_polynomial_cached(M):
-    n = M.n
-    span = _Span(n * n)
-    powers = [Matrix.identity(n)]
-    span.add(powers[0].flatten())
+    powers = [Matrix.identity(M.n)]
     while True:
         nxt = powers[-1] @ M
-        if not span.add(nxt.flatten()):
-            cols = [p.flatten() for p in powers]
-            coeffs = solve(cols, nxt.flatten())
+        # None exactly while nxt is independent of the lower powers
+        coeffs = solve([P.flatten() for P in powers], nxt.flatten())
+        if coeffs is not None:
             return tuple([-c for c in coeffs] + [Fraction(1)])
         powers.append(nxt)
 

@@ -34,7 +34,11 @@ class InadmissibleModule(ValueError):
         super().__init__(f"fil1 is phi-stable; witness vector {witness}")
 
 
-class OracleDisagreement(AssertionError):
+class InvariantViolation(RuntimeError):
+    """A computed result contradicts the paper's tables: a verification failure."""
+
+
+class OracleDisagreement(InvariantViolation):
     """The fil1-stability verdict and the t_H <= t_N sweep disagreed."""
 
 
@@ -115,7 +119,7 @@ def standard_fil1():
 
 def mu_c(a, b, eps, p):
     """c = -(a^2 + eps*p + b^2 p^2) / (ab + 1)."""
-    den = a * b + 1
+    den = a * b + 1 + Fraction(0)  # exact for int a, b too
     if not den:
         raise DegenerateDenominator("ab = -1")
     return -(a * a + eps * p + b * b * p * p) / den
@@ -261,7 +265,8 @@ def _restriction_det(phi, plane):
     m = []
     for img in images:
         coeffs = solve(cols, img)
-        assert coeffs is not None, "plane is not phi-stable"
+        if coeffs is None:
+            raise InvariantViolation("plane is not phi-stable")
         m.append(coeffs)
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
@@ -335,7 +340,8 @@ def cyclic_presentation(D, skip=0):
             continue
         y = b2 if row_reduce([x, b1]).dim == 1 else b1  # pick the generator not parallel to x
         coeffs = solve(orbit, y)
-        assert coeffs is not None
+        if coeffs is None:
+            raise InvariantViolation("fil1 is not in the span of a cyclic orbit")
         return x, orbit, tuple(coeffs)
     raise NoCyclicVector("no cyclic vector found in fil1")
 
@@ -353,8 +359,8 @@ def _cyclic_candidates(b1, b2):
             yield tuple(i * x + j * y for x, y in zip(b1, b2))
 
 
-class NoCyclicVector(AssertionError):
-    """Cannot happen for admissible inputs; kept as an internal assertion."""
+class NoCyclicVector(InvariantViolation):
+    """Cannot happen for admissible inputs: an internal invariant."""
 
 
 # -- skew forms ---------------------------------------------------------------

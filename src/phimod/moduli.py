@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .classify import CInvariant, ModuliPoint
 from .linalg import Matrix, row_reduce, solve
-from .modules import DegenerateDenominator
+from .modules import DegenerateDenominator, InvariantViolation
 from .scalars import normalize
 
 
@@ -114,7 +114,8 @@ def mu_inverse(P, eps, p):
     if not den:
         raise ValueError("point lies on the c = infinity locus")
     a = (b**3 * p * p - x) / den
-    assert a * b != -1
+    if a * b == -1:
+        raise InvariantViolation(f"mu_inverse of {P} gives ab = -1")
     return normalize(a + Fraction(0)), normalize(b + Fraction(0))
 
 
@@ -295,17 +296,12 @@ def verify_invariant_ring(max_degree):
         n = d // 2
         dim = 0
         if invariant:
-            from .linalg import _Span
-
             keys = sorted({(i, n - i) for i in range(n + 1)})
             vecs = []
             for e in invariant:
                 red = _reduce_mod_plucker((e[0], e[1], e[2]))
                 vecs.append([Fraction(red.get(k, 0)) for k in keys])
-            sp = _Span(len(keys))
-            for v in vecs:
-                sp.add(v)
-            dim = sp.dim
+            dim = row_reduce(vecs).dim
             if dim != n + 1:
                 report.violations.append(("wrong-dimension", d, dim, n + 1))
         if d % 2 == 1 and invariant:

@@ -10,15 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, _field_order, _int_flat, _is_scalar_flat, _normal_form, _primitive, _scalars
-from .linalg import _zmatmul, is_solvable, lie_closure
-from .modules import Iso, Mu, build_family, mu_c
+from .linalg import _zmatmul, is_solvable, lie_closure, row_reduce
+from .modules import InvariantViolation, Iso, Mu, build_family, mu_c
 
 class NoCentralPower(ValueError):
     """No power of phi up to the bound is scalar: the input is not supersingular."""
-
-
-class InvariantViolation(RuntimeError):
-    """A computed result contradicts the paper's tables: a verification failure."""
 
 
 class ScalarsMissing(InvariantViolation):
@@ -183,11 +179,7 @@ def predicted_span(params, ctx):
 
 def structural_membership_check(params, ctx, L):
     """Every Lie-algebra basis element lies in the predicted block span."""
-    from .linalg import _Span
-
-    span = _Span(16)
-    for M in predicted_span(params, ctx):
-        span.add(M.flatten())
+    span = row_reduce([M.flatten() for M in predicted_span(params, ctx)])
     return all(span.contains(B.flatten()) for B in L.basis)
 
 

@@ -119,7 +119,8 @@ def cyclotomic(m):
     for d in range(1, m):
         if m % d == 0:
             p, r = divmod_poly(p, list(cyclotomic(d)))
-            assert not r
+            if r:
+                raise ArithmeticError(f"Phi_{d} does not divide X^{m} - 1")
     return tuple(p)
 
 

@@ -16,17 +16,16 @@ from .classify import (
     IsoClass,
     ModuliPoint,
     MuDegenerateClass,
-    MuGenericClass,
     NuInfinityClass,
     WintenbergerType,
-    c_of_point,
+    class_of_point,
     class_to_record,
     mu_roots,
     wintenberger_of_c,
 )
-from .modules import Iso, Mu, Nu
 from .moduli import mu_inverse
-from .monodromy import InvariantViolation, monodromy_group
+from .modules import InvariantViolation, Iso, Mu, Nu
+from .monodromy import monodromy_group
 from .scalars import Cyclotomic, scalar_to_str
 
 
@@ -42,34 +41,6 @@ class ScanRow:
 
 class InconsistentRow(InvariantViolation):
     """A row violates the monodromy distribution table."""
-
-
-def class_of_point(P, eps, ctx):
-    """Canonical class of the companion-Frobenius module with fil1 = iota(P).
-
-    Same branch logic as canonical_class, driven by the point directly; every
-    iota-image is admissible, so no stability check is needed.
-    """
-    p = ctx.p
-    c = c_of_point(P, eps, p)
-    if c.is_infinity:
-        return NuInfinityClass(eps), c
-    if c.value == 2 * p:
-        return IsoClass(eps, 1), c
-    if c.value == -2 * p:
-        return IsoClass(eps, -1), c
-    if c.value == -eps * p:
-        roots = mu_roots(eps, ctx)
-        if roots is None:
-            return MuGenericClass(eps, c.value), c
-        mu1, mu2 = roots
-        x, y, z = P.coords
-        if not x and not z:
-            return MuDegenerateClass(eps, Branch.ORIGIN), c
-        ratio = x / z
-        branch = Branch.LINE1 if ratio == -mu1 else Branch.LINE2
-        return MuDegenerateClass(eps, branch), c
-    return MuGenericClass(eps, c.value), c
 
 
 def representative_params(P, cls, eps, ctx):

@@ -113,7 +113,7 @@ def criterion_1():
 
 # -- criterion 2 -----------------------------------------------------------------
 
-def geometric_param_grid(eps, ctx, count=200):
+def geometric_param_grid(eps, ctx):
     """Deterministic table-valid parameter sets: iso, nu and mu (regions D3 and L)."""
     p = ctx.p
     f = Fraction
@@ -136,9 +136,7 @@ def geometric_param_grid(eps, ctx, count=200):
                 a = w * f(p) ** (j + 1)
                 b = w2 * f(p) ** j
                 params.append(Mu(eps, a, b))  # v(a) = v(b) + 1
-    out = [q for q in params if validate_geometric_params(q, ctx)]
-    assert len(out) >= count, len(out)
-    return out
+    return [q for q in params if validate_geometric_params(q, ctx)]
 
 
 def _random_fil1_change(D, rng):
@@ -170,7 +168,10 @@ def criterion_2():
     for p in (7, 13):
         for eps in (-1, 0, 1):
             ctx = PrimeContext(p)
-            for params in geometric_param_grid(eps, ctx):
+            grid = geometric_param_grid(eps, ctx)
+            if len(grid) < 200:
+                bad.append((p, eps, "grid", len(grid)))
+            for params in grid:
                 n_params += 1
                 D = build_family(params, ctx)
                 if not check_s1_s2(D).ok:
@@ -315,7 +316,8 @@ def criterion_4():
             bad.append(("nu-gm3",))
     for eps in (-1, 0, 1):
         samples = [q for q in geometric_param_grid(eps, ctx7) if isinstance(q, Mu)][:100]
-        assert len(samples) >= 100
+        if len(samples) < 100:
+            bad.append(("mu-samples", eps, len(samples)))
         for params in samples:
             counts["mu"] += 1
             D = build_family(params, ctx7)

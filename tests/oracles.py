@@ -2,13 +2,56 @@
 
 These are the generic exact algorithms phimod ran before its Lie closure went
 fraction-free: field arithmetic on Fraction or Cyclotomic entries through the
-fully reduced echelon span `_Span`, the bracket-span derived series and the
-Frobenius conjugation loop through `phi.inverse()`. They share no code with
-the integer kernel over Z[zeta_m].
+fully reduced incremental echelon span `_Span`, the bracket-span derived
+series and the Frobenius conjugation loop through `phi.inverse()`. They share
+no code with the integer kernel over Z[zeta_m]. `_Span` lives only here:
+phimod's own field-arithmetic elimination is `linalg._echelon` alone.
 """
 
-from phimod.linalg import Matrix, _Span, bracket
+from phimod.linalg import Matrix, bracket
 from phimod.monodromy import hodge_generator, phi_central_order
+
+
+class _Span:
+    """Incremental echelonized span of flat vectors."""
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []  # kept in echelon form, leading 1s
+        self.pivots = []
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if vec[p]:
+                f = vec[p]
+                vec = [a - f * b for a, b in zip(vec, row)]
+        return vec
+
+    def add(self, vec):
+        """Add vec to the span; True when the dimension grew."""
+        vec = self.reduce(vec)
+        p = next((i for i, a in enumerate(vec) if a), None)
+        if p is None:
+            return False
+        inv = 1 / vec[p]
+        vec = [a * inv for a in vec]
+        # keep rows sorted by pivot and fully reduced
+        for i, row in enumerate(self.rows):
+            if row[p]:
+                f = row[p]
+                self.rows[i] = [a - f * b for a, b in zip(row, vec)]
+        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        self.rows.insert(idx, vec)
+        self.pivots.insert(idx, p)
+        return True
+
+    def contains(self, vec):
+        return all(not a for a in self.reduce(vec))
+
+    @property
+    def dim(self):
+        return len(self.rows)
 
 
 def _oracle_lie_closure(generators):

@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from phimod.cli import main
-from phimod.modules import Nu, build_family, module_to_record
+from phimod.modules import (
+    InvariantViolation,
+    NoCyclicVector,
+    Nu,
+    OracleDisagreement,
+    build_family,
+    module_to_record,
+)
 from phimod.scalars import PrimeContext
 
 
@@ -113,6 +120,20 @@ def test_malformed_module_file(tmp_path, capsys, record, message):
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    (
+        (("--prime", "11"), "--prime 11 does not match p = 7"),
+        (("--prime", "7", "--cyclotomic", "3"), "--cyclotomic 3 does not match m = 1"),
+    ),
+)
+def test_module_file_context_mismatch(tmp_path, capsys, flags, message):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_record(build_family(Nu(0, 49), PrimeContext(7)))))
+    code, out, err = run_cli(capsys, "classify", *flags, "--module-file", str(path))
+    assert code == 1 and out == "" and err == f"error: {message} in the module record\n"
+
+
 def test_monodromy_commands(capsys):
     code, out, _ = run_cli(
         capsys, "monodromy", "--prime", "7", "--family", "prod", "--params", "1", "--format", "json"
@@ -194,6 +215,23 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(monodromy_mod, "lie_closure", lambda gens: lie_closure(gens[:1]))
     code, _, err = run_cli(capsys, "monodromy", "--prime", "7", "--family", "mu", "--params", "7,0")
     assert code == 2 and "identity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", (OracleDisagreement, NoCyclicVector, InvariantViolation))
+def test_internal_errors_exit_2(capsys, monkeypatch, error):
+    def failing(D):
+        raise error("forced")
+
+    monkeypatch.setattr("phimod.cli.canonical_class", failing)
+    code, out, err = run_cli(capsys, "classify", "--prime", "7", "--family", "nu", "--params", "49")
+    assert code == 2 and out == "" and err == "error: forced\n"
+
+
+def test_invariant_violation_is_one_class():
+    import phimod
+    import phimod.monodromy
+
+    assert phimod.InvariantViolation is phimod.monodromy.InvariantViolation is InvariantViolation
 
 
 def test_verify_suite(capsys):

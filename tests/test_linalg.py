@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -251,3 +252,80 @@ def test_matrix_inverse_and_det():
         assert d == _det_oracle(M)
         if d:
             assert M @ M.inverse() == Matrix.identity(4)
+
+
+def _to_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in r] for r in M.rows])
+
+
+def _from_sympy(S):
+    return Matrix([[f(int(a.p), int(a.q)) for a in S.row(i)] for i in range(S.rows)])
+
+
+def _sympy_minimal_polynomial(M):
+    """Ascending coefficients of the lowest-degree monic divisor of sympy's
+    charpoly that annihilates M."""
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    S = _to_sympy(M)
+    _, factors = sympy.factor_list(S.charpoly(X).as_expr(), X)
+    best = None
+    for exps in itertools.product(*(range(e + 1) for _, e in factors)):
+        d = sympy.Poly(sympy.Mul(*(g**k for (g, _), k in zip(factors, exps))), X)
+        value = sympy.zeros(M.n, M.n)
+        for c in d.all_coeffs():  # Horner, descending
+            value = value * S + c * sympy.eye(M.n)
+        if value.is_zero_matrix and (best is None or d.degree() < best.degree()):
+            best = d
+    return [f(int(c.p), int(c.q)) for c in reversed(best.monic().all_coeffs())]
+
+
+def _sympy_test_matrices():
+    """Random rational 4x4 matrices, then derogatory ones: conjugates of the
+    Prod Frobenius (minimal polynomial X^2 - eps' p), of diag(2, 2, 2, -1)
+    and of a non-semisimple diag(J_2(1), 1, 3)."""
+    from phimod.modules import Prod, build_family
+    from phimod.scalars import PrimeContext
+
+    rng = random.Random(1234)
+
+    def rand(lo=-3, hi=3):
+        return Matrix([[f(rng.randint(lo, hi), rng.randint(1, 3)) for _ in range(4)] for _ in range(4)])
+
+    out = [rand() for _ in range(12)]
+    bases = [build_family(Prod(ep), PrimeContext(7)).phi for ep in (1, -1)]
+    bases.append(Matrix.diagonal([f(2), f(2), f(2), f(-1)]))
+    bases.append(Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]) * f(1))
+    for B in bases:
+        for _ in range(3):
+            g = _to_sympy(rand(-2, 2))
+            while g.det() == 0:
+                g = _to_sympy(rand(-2, 2))
+            out.append(_from_sympy(g * _to_sympy(B) * g.inv()))
+    return out
+
+
+def test_minimal_polynomial_matches_sympy():
+    for M in _sympy_test_matrices():
+        assert minimal_polynomial(M) == _sympy_minimal_polynomial(M)
+
+
+def test_matrix_inverse_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(4321)
+    for M in _sympy_test_matrices():
+        S = _to_sympy(M)
+        if S.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                M.inverse()
+        else:
+            assert M.inverse() == _from_sympy(S.inv())
+    for _ in range(10):  # singular: the last row is a combination of the others
+        rows = [[f(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)]
+        a, b = f(rng.randint(-2, 2)), f(rng.randint(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        M = Matrix(rows)
+        assert _to_sympy(M).det() == 0
+        with pytest.raises(ZeroDivisionError):
+            M.inverse()

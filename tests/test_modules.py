@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phimod.classify import point_from_module
+from phimod.classify import canonical_class, point_from_module
 from phimod.linalg import Matrix, char_poly, row_reduce
 from phimod.modules import (
     DegenerateDenominator,
@@ -26,6 +26,7 @@ from phimod.modules import (
     validate_geometric_params,
     verify_s3,
 )
+from phimod.monodromy import monodromy_group
 from phimod.scalars import Cyclotomic, PrimeContext, zeta
 from phimod.verify import geometric_param_grid
 
@@ -48,6 +49,14 @@ def test_build_mu_c_entry():
     D = build_family(Mu(1, -7 * z, Cyclotomic(1)), CTX73)
     assert D.phi.rows[1][3] == -7
     assert mu_c(-7 * z, Cyclotomic(1), 1, 7) == -7
+
+
+@pytest.mark.parametrize("eps,a,b", ((0, 7, 0), (1, 7, 2)))
+def test_integer_mu_params_match_fractions(eps, a, b):
+    ints, fracs = Mu(eps, a, b), Mu(eps, f(a), f(b))
+    assert type(mu_c(a, b, eps, 7)) is Fraction and mu_c(a, b, eps, 7) == mu_c(f(a), f(b), eps, 7)
+    assert monodromy_group(ints, CTX7) == monodromy_group(fracs, CTX7)
+    assert canonical_class(build_family(ints, CTX7)) == canonical_class(build_family(fracs, CTX7))
 
 
 def test_build_mu_degenerate():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phimod.classify import canonical_class, wintenberger_type
+from phimod.classify import Branch, ModuliPoint, canonical_class, wintenberger_type
 from phimod.cli import main
 from phimod.linalg import row_reduce
 from phimod.moduli import companion_phi
@@ -30,25 +30,31 @@ def test_projective_points_dedup():
 
 
 def test_class_of_point_matches_module_pipeline():
-    # the scan fast path equals the full canonical_class on iota-modules
+    # the scan's class_of_point equals the full canonical_class on iota-modules,
+    # over Q and over the Q(zeta_m) where the c = -eps p lines are defined
     rng = random.Random(3)
-    ctx = PrimeContext(7)
     e1 = (f(1), f(0), f(0), f(0))
-    for eps in (-1, 0, 1):
-        done = 0
-        while done < 30:
-            t = tuple(f(rng.randint(-6, 6)) for _ in range(3))
-            if not any(t):
-                continue
-            from phimod.classify import ModuliPoint
-
-            P = ModuliPoint.of(*t)
-            cls, c = class_of_point(P, eps, ctx)
-            D = FilteredPhiModule(
-                ctx, companion_phi(eps, 7), row_reduce([e1, (f(0),) + tuple(P.coords)])
-            )
-            assert canonical_class(D) == cls
-            done += 1
+    seen = set()
+    for ctx, n_random in ((PrimeContext(7), 30), (PrimeContext(7, 3), 8), (PrimeContext(13, 4), 8)):
+        p = ctx.p
+        for eps in (-1, 0, 1):
+            points = line_sample_points(eps, ctx, 3) + [(0, 1, 0)]
+            points += [((eps + ep) * p, 0, 1) for ep in (1, -1)]  # c = 2 ep p, the Iso points
+            for _ in range(n_random):
+                t = (0, 0, 0)
+                while not any(t):
+                    t = tuple(f(rng.randint(-6, 6)) for _ in range(3))
+                points.append(t)
+            for t in points:
+                P = ModuliPoint.of(*t)
+                cls, c = class_of_point(P, eps, ctx)
+                D = FilteredPhiModule(
+                    ctx, companion_phi(eps, p), row_reduce([e1, (f(0),) + tuple(P.coords)])
+                )
+                assert canonical_class(D) == cls
+                seen.add((cls.tag, getattr(cls, "branch", None), getattr(cls, "eps_prime", None)))
+    assert {("MuDegenerate", b, None) for b in Branch} <= seen
+    assert {("Iso", None, 1), ("Iso", None, -1), ("NuInfinity", None, None)} <= seen
 
 
 def test_scan_wintenberger_matches_module():
